@@ -66,9 +66,9 @@ let settle net = fst (Netsys.run net)
 let path ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
          (Pathlab.obligation Semantics.Open_end Semantics.Open_end)
-         ~ends:(Pathlab.ends ~flowlinks:0))
+         ~legs:[ Pathlab.ends ~flowlinks:0 ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -129,7 +129,7 @@ let conf ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst users in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
          Mediactl_obs.Monitor.Always_eventually_flowing ~legs:(Conference.legs ~users:names))
     ~boot:(conf_boot ~loss ~names ~parties)
     (fun () -> settle (Conference.build ~users))
@@ -157,8 +157,8 @@ let conf2 ?sched ?n ?c ~loss ~id ~rng () =
 let transfer ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"transfer" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~ends:Feature.transfer_leg)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
+         Mediactl_obs.Monitor.Always_eventually_flowing ~legs:[ Feature.transfer_leg ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -175,7 +175,7 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
   let roster = names @ [ fst joiner ] in
   Session.create ?sched ?n ?c ~id ~scenario:"barge" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
          Mediactl_obs.Monitor.Always_eventually_flowing ~legs:(Conference.legs ~users:roster))
     ~boot:(fun t ->
       attach_loss ~loss t;
@@ -196,8 +196,8 @@ let barge ?sched ?n ?c ~loss ~id ~rng () =
 let moh ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"moh" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
-         Mediactl_obs.Monitor.Always_eventually_flowing ~ends:Feature.moh_leg)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
+         Mediactl_obs.Monitor.Always_eventually_flowing ~legs:[ Feature.moh_leg ])
     ~boot:(fun t ->
       attach_loss ~loss t;
       let sim = Session.sim t in
@@ -255,9 +255,9 @@ let rec session ?sched ?n ?c ?(loss = 0.0) ?parties kind ~id ~rng =
 let path_churn ?sched ?n ?c ~loss ~id ~rng () =
   Session.create ?sched ?n ?c ~id ~scenario:"path" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed ~structural:(loss > 0.0)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
          Mediactl_obs.Monitor.Closed_or_flowing
-         ~ends:(Pathlab.ends ~flowlinks:0))
+         ~legs:[ Pathlab.ends ~flowlinks:0 ])
     ~hangup:(fun t ->
       let sim = Session.sim t in
       Timed.apply sim (Pathlab.engage_left Semantics.Close_end);
@@ -278,7 +278,7 @@ let conf_churn ?sched ?n ?c ?(parties = 3) ~loss ~id ~rng () =
   let names = List.map fst users in
   Session.create ?sched ?n ?c ~id ~scenario:"conf" ~rng
     ~judge:
-      (Mediactl_obs.Monitor.verdict_packed_legs ~structural:(loss > 0.0)
+      (Mediactl_obs.Monitor.verdict ~structural:(loss > 0.0)
          Mediactl_obs.Monitor.Closed_or_flowing ~legs:(Conference.legs ~users:names))
     ~hangup:(fun t ->
       let sim = Session.sim t in

@@ -44,6 +44,7 @@ type t = {
   mutable c_pending : (int * Signal.t) list;
       (* shipped signals (tunnel, signal) whose receive at the proxy has
          not been recorded yet, oldest first *)
+  mutable c_from : int;  (* the daemon recording's length at install *)
 }
 
 let id t = t.c_id
@@ -98,12 +99,16 @@ let make ~id ~role ~left ~right =
     c_torn = false;
     c_proxy_st = P_closed;
     c_pending = [];
+    c_from = 0;
   }
 
 (* Build the call's boxes and channel in the shared network and engage
    the locally owned end(s).  The topology change emits nothing; each
-   engagement's signals are scheduled by the driver as usual. *)
+   engagement's signals are scheduled by the driver as usual.  Nothing
+   of this call is recorded before install, so its verdict window
+   starts at the recording's length now. *)
 let install driver t =
+  t.c_from <- fst (Trace.live Int.max_int);
   Timed.apply_quiet driver (fun net ->
     let net = Netsys.add_box (Netsys.add_box net t.c_left_box) t.c_right_box in
     Netsys.connect net ~chan:t.c_chan ~initiator:t.c_left_box ~acceptor:t.c_right_box ());
@@ -321,49 +326,52 @@ let obligation t =
 let ends t =
   { Monitor.left = (t.c_left_box, t.c_chan, 0); right = (t.c_right_box, t.c_chan, 0) }
 
-(* The slice of the daemon's one long trace that belongs to this call:
-   its channel's signal events.  The monitor's quiescence cutoff then
-   speaks about this call's tunnels only, not every call the daemon is
-   carrying. *)
-let trace_slice t events =
-  List.filter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send s | Trace.Sig_recv s -> String.equal s.Trace.chan t.c_chan
-      | Trace.Meta_send m -> String.equal m.chan t.c_chan
-      | Trace.Meta_recv m -> String.equal m.chan t.c_chan
-      | Trace.Net n -> String.equal n.chan t.c_chan
-      | Trace.Slot_transition _ | Trace.Goal _ -> false)
-    events
+(* The call is judged on its own window of the daemon's live recording
+   — from its install on — with the replay reading only entries of its
+   channel, so the quiescence cutoff speaks about this call's tunnels
+   only, not every call the daemon is carrying.  Violations keep the
+   recording's sequence numbers. *)
+let on_chan t p i =
+  match Trace.Packed.kind p i with
+  | Trace.Sig_send s | Trace.Sig_recv s -> String.equal s.Trace.chan t.c_chan
+  | Trace.Meta_send { chan; _ } | Trace.Meta_recv { chan; _ } | Trace.Net { chan; _ } ->
+    String.equal chan t.c_chan
+  | Trace.Slot_transition _ | Trace.Goal _ -> false
 
 (* Shipped signals whose proxy-side receive is still pending are "in
-   flight" over the (reliable) wire: at a verdict cutoff they are
-   appended to the slice as received, the analogue of a simulation
-   cutoff draining its queues.  They are not committed to the trace —
-   a later inbound signal may still order ahead of them. *)
-let pending_events t slice =
+   flight" over the (reliable) wire: at a verdict cutoff they are fed
+   after the window as received, numbered on from the call's last
+   recorded entry — the analogue of a simulation cutoff draining its
+   queues.  They are not committed to the recording: a later inbound
+   signal may still order ahead of them. *)
+let feed_pending t m window =
   match proxy_box t with
-  | None -> []
+  | None -> ()
   | Some proxy ->
+    let rec last i = if i < 0 || on_chan t window i then i else last (i - 1) in
     let seq, at =
-      match List.rev slice with
-      | (e : Trace.event) :: _ -> (e.Trace.seq, e.Trace.at)
-      | [] -> (-1, 0.0)
+      match last (Trace.Packed.length window - 1) with
+      | -1 -> (-1, 0.0)
+      | i -> (t.c_from + i, Trace.Packed.at window i)
     in
-    List.mapi
+    List.iteri
       (fun i (tun, signal) ->
-        { Trace.seq = seq + 1 + i; at; kind = Trace.Sig_recv (proxy_sig t ~tun ~proxy signal) })
+        Monitor.feed_event m
+          { Trace.seq = seq + 1 + i; at; kind = Trace.Sig_recv (proxy_sig t ~tun ~proxy signal) })
       t.c_pending
 
-let verdict t events =
-  let slice = trace_slice t events in
-  Monitor.verdict (obligation t) ~ends:(ends t) (slice @ pending_events t slice)
+let verdict t =
+  let _, window = Trace.live t.c_from in
+  let m = Monitor.machines () in
+  Monitor.feed ~chan:t.c_chan ~first:t.c_from m window;
+  feed_pending t m window;
+  Monitor.judge (obligation t) ~legs:[ ends t ] m
 
-let status_line net t events =
+let status_line net t =
   Printf.sprintf "CALL %s %s %s/%s %s/%s %s" t.c_id
     (match t.c_role with Local_call -> "local" | Origin -> "origin" | Acceptor -> "acceptor")
     (Control.kind_to_string t.c_left_kind)
     (Control.kind_to_string t.c_right_kind)
     (end_state net t t.c_left_box)
     (end_state net t t.c_right_box)
-    (Format.asprintf "%a" Monitor.pp_verdict (verdict t events))
+    (Format.asprintf "%a" Monitor.pp_verdict (verdict t))

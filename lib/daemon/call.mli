@@ -78,11 +78,12 @@ val obligation : t -> Monitor.obligation
 
 val ends : t -> Monitor.ends
 
-val trace_slice : t -> Trace.event list -> Trace.event list
-(** This call's events out of the daemon's one long recording. *)
+val verdict : t -> Monitor.verdict
+(** Judge the call's obligation on its window of the daemon's live
+    recording ({!Trace.live} from the call's install on): the monitor
+    replays the call's own channel entries, then the proxy receives
+    still in flight on the wire. *)
 
-val verdict : t -> Trace.event list -> Monitor.verdict
-
-val status_line : Netsys.t -> t -> Trace.event list -> string
+val status_line : Netsys.t -> t -> string
 (** The [CALL <id> <role> <kinds> <states> <verdict>] status-response
     line. *)

@@ -3,8 +3,9 @@ open Mediactl_obs
 
 (* The daemon: one wall-clock select loop driving one shared network
    that carries every call, one listening socket speaking both of the
-   daemon's protocols, and one long trace recording that the control
-   plane's STATUS verdicts are judged against.
+   daemon's protocols, and one long ring recording — the whole run —
+   that the control plane's STATUS verdicts are judged against, each
+   call on its own window of it.
 
    A fresh inbound connection is sniffed on its first four bytes:
    [Wire.magic] marks a binary wire peer (another daemon bridging a
@@ -34,7 +35,6 @@ type conn = {
 type t = {
   loop : Wallclock.t;
   driver : Timed.t;
-  collector : Trace.collector;
   listen_fd : Unix.file_descr;
   bound : Transport.addr;
   calls : (string, Call.t) Hashtbl.t;  (* by call id = channel name *)
@@ -49,7 +49,6 @@ type t = {
 let loop t = t.loop
 let driver t = t.driver
 let bound t = t.bound
-let events t = Trace.events t.collector
 let calls t = Hashtbl.fold (fun _ c acc -> c :: acc) t.calls []
 let logf t fmt = Printf.ksprintf t.log fmt
 
@@ -102,13 +101,6 @@ let shutdown t =
     (match t.bound with
     | Transport.Unix_sock path -> ( try Unix.unlink path with Unix.Unix_error _ -> ())
     | Transport.Tcp _ -> ());
-    (match t.trace_path with
-    | Some path ->
-      Trace.write_jsonl path (Trace.events t.collector);
-      logf t "trace: %d events -> %s" (Trace.count t.collector) path
-    | None -> ());
-    Trace.set_sink None;
-    Trace.reset_clock ();
     Wallclock.stop t.loop
   end
 
@@ -161,12 +153,11 @@ let rec drain_frames t conn dec =
 let status_lines t = function
   | Some id -> (
     match Hashtbl.find_opt t.calls id with
-    | Some call -> Ok [ Call.status_line (Timed.net t.driver) call (events t) ]
+    | Some call -> Ok [ Call.status_line (Timed.net t.driver) call ]
     | None -> Error (Control.error "no such call %s" id))
   | None ->
     let lines =
-      List.sort String.compare
-        (List.map (fun c -> Call.status_line (Timed.net t.driver) c (events t)) (calls t))
+      List.sort String.compare (List.map (Call.status_line (Timed.net t.driver)) (calls t))
     in
     Ok lines
 
@@ -337,12 +328,10 @@ let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener ()
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let loop = Wallclock.create () in
   let driver = Wallclock.driver ~n ~c loop Netsys.empty in
-  let collector = Trace.collector () in
   let t =
     {
       loop;
       driver;
-      collector;
       listen_fd;
       bound = bound_addr;
       calls = Hashtbl.create 16;
@@ -354,13 +343,22 @@ let create ?(n = 34.0) ?(c = 20.0) ?trace_path ?(log = fun _ -> ()) ~listener ()
       log;
     }
   in
-  Trace.set_sink (Some (Trace.sink_of collector));
   Timed.observe driver;
   Timed.set_impairment driver (fun _ frame -> route_frames t frame);
   Wallclock.on_readable loop listen_fd (on_accept t);
   logf t "listening on %s" (Transport.addr_to_string bound_addr);
   t
 
+(* The recording spans the loop and the shutdown, whose closes still
+   emit; the artifact is the drained ring. *)
 let run t =
-  Wallclock.run t.loop;
-  shutdown t
+  let (), trace =
+    Trace.recording_packed (fun () ->
+        Wallclock.run t.loop;
+        shutdown t)
+  in
+  match t.trace_path with
+  | Some path ->
+    Trace.write_jsonl path trace;
+    logf t "trace: %d events -> %s" (Trace.Packed.length trace) path
+  | None -> ()

@@ -1,6 +1,8 @@
 (** The media-control daemon: one {!Wallclock} select loop driving one
     shared network that carries every call, one listening socket, and
-    one long trace recording.
+    one long trace recording: {!run} records into the domain's trace
+    ring for its whole life, and [STATUS] judges each call on its own
+    window of that recording ({!Call.verdict}).
 
     The listener speaks both protocols on the same address: a fresh
     connection whose first four bytes are {!Wire.magic} is a binary
@@ -13,11 +15,10 @@
     each daemon's recording complete for the Fig. 5 monitor (see
     {!Call}).
 
-    Creating a daemon installs the process-wide trace sink and ignores
-    [SIGPIPE] (a vanished peer must surface as [EPIPE]). *)
+    Creating a daemon sets the domain's trace clock to its driver and
+    ignores [SIGPIPE] (a vanished peer must surface as [EPIPE]). *)
 
 open Mediactl_runtime
-open Mediactl_obs
 
 type t
 
@@ -37,15 +38,15 @@ val create :
     [log] gets one human line per notable event (default: silent). *)
 
 val run : t -> unit
-(** Drive the loop until a [QUIT] request or {!shutdown}; the trace
-    artifact is written before returning. *)
+(** Drive the loop, recording, until a [QUIT] request or {!shutdown};
+    the trace artifact is written from the drained recording before
+    returning.  Must not run inside another {!Trace.recording_packed}. *)
 
 val shutdown : t -> unit
-(** Close every connection and the listener, write the trace artifact,
-    uninstall the trace sink, and stop the loop.  Idempotent. *)
+(** Close every connection and the listener and stop the loop.
+    Idempotent. *)
 
 val loop : t -> Wallclock.t
 val driver : t -> Timed.t
 val bound : t -> Transport.addr
-val events : t -> Trace.event list
 val calls : t -> Call.t list

@@ -22,99 +22,14 @@ type t = {
 let bump tbl key n =
   Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
 
+(* Both scans read the flat packed capture through the [Trace.Packed]
+   field accessors: no per-event record is built, so a fleet session's
+   metrics pass allocates O(tunnels), not O(events). *)
+
 (* Round-trip per tunnel: the initiator-side open send to the matching
    oack receipt — one signaling round across however many hops the
    channel's frames take. *)
-let round_trips events =
-  let open_at : (string * int, float) Hashtbl.t = Hashtbl.create 8 in
-  let stats = Stats.create () in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send { chan; tun; signal = Mediactl_types.Signal.Open _; _ } ->
-        if not (Hashtbl.mem open_at (chan, tun)) then
-          Hashtbl.add open_at (chan, tun) e.Trace.at
-      | Trace.Sig_recv { chan; tun; signal = Mediactl_types.Signal.Oack _; _ } -> (
-        match Hashtbl.find_opt open_at (chan, tun) with
-        | Some t0 ->
-          Stats.add stats (e.Trace.at -. t0);
-          Hashtbl.remove open_at (chan, tun)
-        | None -> ())
-      | _ -> ())
-    events;
-  stats
-
-let of_events events =
-  let sends = Hashtbl.create 8 in
-  let recvs = ref 0 in
-  let slot_transitions = ref 0 in
-  let goal_changes = ref 0 in
-  let drops = ref 0 in
-  let dups = ref 0 in
-  let retransmissions = ref 0 in
-  let retries_exhausted = ref 0 in
-  let dup_suppressed = ref 0 in
-  let acks = ref 0 in
-  let t_min = ref infinity and t_max = ref neg_infinity in
-  List.iter
-    (fun (e : Trace.event) ->
-      if e.Trace.at < !t_min then t_min := e.Trace.at;
-      if e.Trace.at > !t_max then t_max := e.Trace.at;
-      match e.Trace.kind with
-      | Trace.Sig_send { signal; _ } -> bump sends (Mediactl_types.Signal.name signal) 1
-      | Trace.Sig_recv _ -> incr recvs
-      | Trace.Slot_transition _ -> incr slot_transitions
-      | Trace.Goal _ -> incr goal_changes
-      | Trace.Meta_send _ | Trace.Meta_recv _ -> ()
-      | Trace.Net { decision; _ } -> (
-        match decision with
-        | Trace.Dropped -> incr drops
-        | Trace.Passed n -> if n > 1 then incr dups
-        | Trace.Retransmit _ -> incr retransmissions
-        | Trace.Retry_exhausted -> incr retries_exhausted
-        | Trace.Dup_suppressed | Trace.Reorder_suppressed -> incr dup_suppressed
-        | Trace.Ack_sent -> incr acks
-        | Trace.Ack_dropped -> ()))
-    events;
-  let monitor = Monitor.replay events in
-  let time_to_flowing = Stats.create () in
-  let start = if !t_min = infinity then 0.0 else !t_min in
-  List.iter
-    (fun (r : Monitor.tunnel_report) ->
-      match r.Monitor.first_all_flowing with
-      | Some t -> Stats.add time_to_flowing (t -. start)
-      | None -> ())
-    monitor.Monitor.tunnels;
-  {
-    events = List.length events;
-    duration = (if !t_max >= !t_min then !t_max -. !t_min else 0.0);
-    sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
-    recvs = !recvs;
-    slot_transitions = !slot_transitions;
-    goal_changes = !goal_changes;
-    open_races =
-      List.fold_left (fun acc r -> acc + r.Monitor.races) 0 monitor.Monitor.tunnels;
-    drops = !drops;
-    dups = !dups;
-    retransmissions = !retransmissions;
-    retries_exhausted = !retries_exhausted;
-    dup_suppressed = !dup_suppressed;
-    acks = !acks;
-    round_trip = round_trips events;
-    time_to_flowing;
-    violations = List.length monitor.Monitor.violations;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Packed traces                                                       *)
-
-(* The packed twins scan the flat ring capture through the
-   [Trace.Packed] field accessors: no per-event record is built, so a
-   fleet session's metrics pass allocates O(tunnels), not O(events). *)
-
-let round_trips_packed p =
+let round_trips p =
   let open_at : (string * int, float) Hashtbl.t = Hashtbl.create 8 in
   let stats = Stats.create () in
   let n = Trace.Packed.length p in
@@ -199,7 +114,7 @@ let of_packed p =
     retries_exhausted = !retries_exhausted;
     dup_suppressed = !dup_suppressed;
     acks = !acks;
-    round_trip = round_trips_packed p;
+    round_trip = round_trips p;
     time_to_flowing;
     violations = List.length monitor.Monitor.violations;
   }
@@ -227,81 +142,93 @@ let empty =
     violations = 0;
   }
 
-let merge_stats a b =
-  let s = Stats.create () in
-  List.iter (Stats.add s) (Stats.samples a);
-  List.iter (Stats.add s) (Stats.samples b);
-  s
+(* The one accumulator: flat mutable counters plus pooled samples.
+   Folding [t] values pairwise would recopy every accumulated latency
+   sample (and rebuild the sends assoc) per session, quadratic in fleet
+   size; this adds each registry once. *)
+type acc = {
+  mutable a_events : int;
+  mutable a_duration : float;
+  a_sends : (string, int) Hashtbl.t;
+  mutable a_recvs : int;
+  mutable a_slots : int;
+  mutable a_goals : int;
+  mutable a_races : int;
+  mutable a_drops : int;
+  mutable a_dups : int;
+  mutable a_retrans : int;
+  mutable a_exhausted : int;
+  mutable a_suppressed : int;
+  mutable a_acks : int;
+  a_rt : Stats.t;
+  a_ttf : Stats.t;
+  mutable a_viol : int;
+}
 
-let merge a b =
-  let sends =
-    List.fold_left
-      (fun acc (k, v) ->
-        match List.assoc_opt k acc with
-        | Some v0 -> (k, v0 + v) :: List.remove_assoc k acc
-        | None -> (k, v) :: acc)
-      a.sends_by_signal b.sends_by_signal
-    |> List.sort (fun (_, a) (_, b) -> compare b a)
-  in
+let acc () =
   {
-    events = a.events + b.events;
-    duration = a.duration +. b.duration;
-    sends_by_signal = sends;
-    recvs = a.recvs + b.recvs;
-    slot_transitions = a.slot_transitions + b.slot_transitions;
-    goal_changes = a.goal_changes + b.goal_changes;
-    open_races = a.open_races + b.open_races;
-    drops = a.drops + b.drops;
-    dups = a.dups + b.dups;
-    retransmissions = a.retransmissions + b.retransmissions;
-    retries_exhausted = a.retries_exhausted + b.retries_exhausted;
-    dup_suppressed = a.dup_suppressed + b.dup_suppressed;
-    acks = a.acks + b.acks;
-    round_trip = merge_stats a.round_trip b.round_trip;
-    time_to_flowing = merge_stats a.time_to_flowing b.time_to_flowing;
-    violations = a.violations + b.violations;
+    a_events = 0;
+    a_duration = 0.0;
+    a_sends = Hashtbl.create 8;
+    a_recvs = 0;
+    a_slots = 0;
+    a_goals = 0;
+    a_races = 0;
+    a_drops = 0;
+    a_dups = 0;
+    a_retrans = 0;
+    a_exhausted = 0;
+    a_suppressed = 0;
+    a_acks = 0;
+    a_rt = Stats.create ();
+    a_ttf = Stats.create ();
+    a_viol = 0;
   }
 
-(* One pass, not a pairwise fold: folding [merge] copies every
-   accumulated latency sample (and rebuilds the sends assoc) per
-   session, which is quadratic in fleet size. *)
-let merge_all ms =
-  let sends = Hashtbl.create 8 in
-  let round_trip = Stats.create () in
-  let time_to_flowing = Stats.create () in
-  let acc = ref empty in
-  List.iter
-    (fun m ->
-      List.iter (fun (k, v) -> bump sends k v) m.sends_by_signal;
-      List.iter (Stats.add round_trip) (Stats.samples m.round_trip);
-      List.iter (Stats.add time_to_flowing) (Stats.samples m.time_to_flowing);
-      let a = !acc in
-      acc :=
-        {
-          a with
-          events = a.events + m.events;
-          duration = a.duration +. m.duration;
-          recvs = a.recvs + m.recvs;
-          slot_transitions = a.slot_transitions + m.slot_transitions;
-          goal_changes = a.goal_changes + m.goal_changes;
-          open_races = a.open_races + m.open_races;
-          drops = a.drops + m.drops;
-          dups = a.dups + m.dups;
-          retransmissions = a.retransmissions + m.retransmissions;
-          retries_exhausted = a.retries_exhausted + m.retries_exhausted;
-          dup_suppressed = a.dup_suppressed + m.dup_suppressed;
-          acks = a.acks + m.acks;
-          violations = a.violations + m.violations;
-        })
-    ms;
+let add a m =
+  a.a_events <- a.a_events + m.events;
+  a.a_duration <- a.a_duration +. m.duration;
+  List.iter (fun (k, v) -> bump a.a_sends k v) m.sends_by_signal;
+  a.a_recvs <- a.a_recvs + m.recvs;
+  a.a_slots <- a.a_slots + m.slot_transitions;
+  a.a_goals <- a.a_goals + m.goal_changes;
+  a.a_races <- a.a_races + m.open_races;
+  a.a_drops <- a.a_drops + m.drops;
+  a.a_dups <- a.a_dups + m.dups;
+  a.a_retrans <- a.a_retrans + m.retransmissions;
+  a.a_exhausted <- a.a_exhausted + m.retries_exhausted;
+  a.a_suppressed <- a.a_suppressed + m.dup_suppressed;
+  a.a_acks <- a.a_acks + m.acks;
+  List.iter (Stats.add a.a_rt) (Stats.samples m.round_trip);
+  List.iter (Stats.add a.a_ttf) (Stats.samples m.time_to_flowing);
+  a.a_viol <- a.a_viol + m.violations
+
+let total a =
   {
-    !acc with
+    events = a.a_events;
+    duration = a.a_duration;
     sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) sends []
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) a.a_sends []
       |> List.sort (fun (_, a) (_, b) -> compare b a);
-    round_trip;
-    time_to_flowing;
+    recvs = a.a_recvs;
+    slot_transitions = a.a_slots;
+    goal_changes = a.a_goals;
+    open_races = a.a_races;
+    drops = a.a_drops;
+    dups = a.a_dups;
+    retransmissions = a.a_retrans;
+    retries_exhausted = a.a_exhausted;
+    dup_suppressed = a.a_suppressed;
+    acks = a.a_acks;
+    round_trip = a.a_rt;
+    time_to_flowing = a.a_ttf;
+    violations = a.a_viol;
   }
+
+let merge_all ms =
+  let a = acc () in
+  List.iter (add a) ms;
+  total a
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

@@ -26,12 +26,10 @@ type t = {
   violations : int;  (** protocol violations the monitor found *)
 }
 
-val of_events : Trace.event list -> t
-
 val of_packed : Trace.Packed.t -> t
-(** [of_events] over a packed ring capture, scanning through the
-    {!Trace.Packed} field accessors so no per-event records are built.
-    Same result as [of_events (Trace.Packed.to_events p)]. *)
+(** Scan a packed capture through the {!Trace.Packed} field accessors,
+    so no per-event records are built; [open_races], [time_to_flowing]
+    and [violations] come from {!Monitor.replay_packed}. *)
 
 (** {2 Per-session registries}
 
@@ -41,8 +39,18 @@ val of_packed : Trace.Packed.t -> t
     total simulated milliseconds across sessions. *)
 
 val empty : t
-val merge : t -> t -> t
+
+type acc
+(** The accumulator: flat mutable counters and pooled samples, so
+    adding a registry costs its own size, not the aggregate's. *)
+
+val acc : unit -> acc
+val add : acc -> t -> unit
+val total : acc -> t
+
 val merge_all : t list -> t
+(** [total] of an accumulator every registry was [add]ed to, in list
+    order. *)
 
 val pp : Format.formatter -> t -> unit
 

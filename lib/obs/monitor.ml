@@ -176,57 +176,20 @@ let finalize tun =
         :: tun.violations
     | _ -> ()
 
-(* Runs the per-tunnel machines over a trace; returns the tunnels in
-   first-appearance order, finalized. *)
-let run_machines events =
-  let tunnels : (string * int, tunnel) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let tunnel chan tun =
-    match Hashtbl.find_opt tunnels (chan, tun) with
-    | Some t -> t
-    | None ->
-      let t =
-        {
-          t_chan = chan;
-          t_tun = tun;
-          sides = [];
-          races = 0;
-          violations = [];
-          both_flowing_at = None;
-        }
-      in
-      Hashtbl.add tunnels (chan, tun) t;
-      order := t :: !order;
-      t
-  in
-  List.iter
-    (fun (e : Trace.event) ->
-      match e.Trace.kind with
-      | Trace.Sig_send { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel chan tun in
-        on_send t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
-        note_flowing t e.Trace.at
-      | Trace.Sig_recv { chan; tun; box; initiator; signal; _ } ->
-        let t = tunnel chan tun in
-        on_recv t ~seq:e.Trace.seq (side_of t ~box ~initiator) signal;
-        note_flowing t e.Trace.at
-      | Trace.Meta_send _ | Trace.Meta_recv _ | Trace.Slot_transition _ | Trace.Goal _
-      | Trace.Net _ ->
-        ())
-    events;
-  let ordered = List.rev !order in
-  List.iter finalize ordered;
-  ordered
+(* The replay core: every tunnel's machine, keyed by (channel, tunnel),
+   fed one signal entry at a time.  A packed trace is read through the
+   flat accessors, so replaying a fleet session's trace never
+   materializes per-event records. *)
+type machines = {
+  by_key : (string * int, tunnel) Hashtbl.t;
+  mutable order : tunnel list;  (* reversed first-appearance order *)
+}
 
-(* The packed-trace twin of [run_machines]: reads sig entries through
-   the flat accessors, so replaying a fleet session's trace never
-   materializes per-event records.  [seq] in violation messages is the
-   entry index — exactly the seq a sink recording would have given. *)
-let run_machines_packed (p : Trace.Packed.t) =
-  let tunnels : (string * int, tunnel) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  let tunnel chan tun =
-    match Hashtbl.find_opt tunnels (chan, tun) with
+let machines () = { by_key = Hashtbl.create 8; order = [] }
+
+let step m ~seq ~at ~send ~chan ~tun ~box ~initiator signal =
+  let t =
+    match Hashtbl.find_opt m.by_key (chan, tun) with
     | Some t -> t
     | None ->
       let t =
@@ -239,24 +202,39 @@ let run_machines_packed (p : Trace.Packed.t) =
           both_flowing_at = None;
         }
       in
-      Hashtbl.add tunnels (chan, tun) t;
-      order := t :: !order;
+      Hashtbl.add m.by_key (chan, tun) t;
+      m.order <- t :: m.order;
       t
   in
-  let n = Trace.Packed.length p in
-  for i = 0 to n - 1 do
+  let side = side_of t ~box ~initiator in
+  if send then on_send t ~seq side signal else on_recv t ~seq side signal;
+  note_flowing t at
+
+let feed ?chan ?(first = 0) m (p : Trace.Packed.t) =
+  for i = 0 to Trace.Packed.length p - 1 do
     let tg = Trace.Packed.tag p i in
     if tg <= 1 then begin
-      let t = tunnel (Trace.Packed.sig_chan p i) (Trace.Packed.sig_tun p i) in
-      let side =
-        side_of t ~box:(Trace.Packed.sig_box p i) ~initiator:(Trace.Packed.sig_initiator p i)
-      in
-      let signal = Trace.Packed.sig_signal p i in
-      if tg = 0 then on_send t ~seq:i side signal else on_recv t ~seq:i side signal;
-      note_flowing t (Trace.Packed.at p i)
+      let c = Trace.Packed.sig_chan p i in
+      if match chan with None -> true | Some want -> String.equal c want then
+        step m ~seq:(first + i) ~at:(Trace.Packed.at p i) ~send:(tg = 0) ~chan:c
+          ~tun:(Trace.Packed.sig_tun p i) ~box:(Trace.Packed.sig_box p i)
+          ~initiator:(Trace.Packed.sig_initiator p i) (Trace.Packed.sig_signal p i)
     end
-  done;
-  let ordered = List.rev !order in
+  done
+
+let feed_event m (e : Trace.event) =
+  match e.Trace.kind with
+  | Trace.Sig_send { chan; tun; box; initiator; signal; _ } ->
+    step m ~seq:e.Trace.seq ~at:e.Trace.at ~send:true ~chan ~tun ~box ~initiator signal
+  | Trace.Sig_recv { chan; tun; box; initiator; signal; _ } ->
+    step m ~seq:e.Trace.seq ~at:e.Trace.at ~send:false ~chan ~tun ~box ~initiator signal
+  | Trace.Meta_send _ | Trace.Meta_recv _ | Trace.Slot_transition _ | Trace.Goal _
+  | Trace.Net _ ->
+    ()
+
+(* The tunnels in first-appearance order, finalized. *)
+let finish m =
+  let ordered = List.rev m.order in
   List.iter finalize ordered;
   ordered
 
@@ -314,8 +292,10 @@ let report_of_tunnels machines =
   in
   { tunnels = reports; violations = List.concat_map (fun r -> r.tunnel_violations) reports }
 
-let replay events = report_of_tunnels (run_machines events)
-let replay_packed p = report_of_tunnels (run_machines_packed p)
+let replay_packed p =
+  let m = machines () in
+  feed m p;
+  report_of_tunnels (finish m)
 
 let conformant r = r.violations = []
 
@@ -379,7 +359,8 @@ let both_flowing l r =
    contributes one leg per participant (participant slot against the
    mixer's bridge slot), and the N-way predicates are the conjunction
    over legs: allClosed / allFlowing. *)
-let verdict_of_machines ~structural obligation ~legs tunnels =
+let judge ?(structural = false) obligation ~legs m =
+  let tunnels = finish m in
   let all_violations = List.concat_map (fun (t : tunnel) -> List.rev t.violations) tunnels in
   match all_violations with
   | v :: _ -> Violated ("protocol violation: " ^ v)
@@ -423,17 +404,10 @@ let verdict_of_machines ~structural obligation ~legs tunnels =
       | Closed_or_flowing ->
         sat (closed || flowing) "terminal state is neither bothClosed nor bothFlowing")
 
-let verdict_legs ?(structural = false) obligation ~legs events =
-  verdict_of_machines ~structural obligation ~legs (run_machines events)
-
-let verdict_packed_legs ?(structural = false) obligation ~legs p =
-  verdict_of_machines ~structural obligation ~legs (run_machines_packed p)
-
-let verdict ?(structural = false) obligation ~ends events =
-  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_machines events)
-
-let verdict_packed ?(structural = false) obligation ~ends p =
-  verdict_of_machines ~structural obligation ~legs:[ ends ] (run_machines_packed p)
+let verdict ?structural obligation ~legs p =
+  let m = machines () in
+  feed m p;
+  judge ?structural obligation ~legs m
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)

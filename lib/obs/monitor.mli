@@ -1,12 +1,17 @@
 (** Trace conformance checking (runtime verification).
 
-    The monitor replays a captured {!Trace.event} stream through an
+    The monitor replays a packed trace ({!Trace.Packed.t}) through an
     independent re-implementation of the Figure-5 media-channel state
     machine — it shares no code with [Mediactl_protocol.Slot] — and
     checks the [Lenabled]/[Renabled] protocol invariants plus the §V
     path obligations on the finite trace.  Verdicts are three-valued:
     satisfied, violated, or undetermined-at-cutoff, following the usual
-    finite-trace LTL semantics of runtime verification. *)
+    finite-trace LTL semantics of runtime verification.
+
+    There is one replay core ({!machines}, fed by {!feed}).  A whole
+    trace is judged with {!verdict}; the daemon feeds the core one
+    call's window of its live recording, plus the receives still in
+    flight on the wire, and judges that with {!judge}. *)
 
 type side_summary = {
   box : string;
@@ -30,17 +35,13 @@ type tunnel_report = {
 
 type report = { tunnels : tunnel_report list; violations : string list }
 
-val replay : Trace.event list -> report
+val replay_packed : Trace.Packed.t -> report
 (** Run every tunnel appearing in the trace through the Fig. 5 machine.
     Violations collect illegal sends, unexpected receives, and
     inconsistent quiescent state pairs (e.g. one side stuck in
-    [closing] because its [closeack] was lost). *)
-
-val replay_packed : Trace.Packed.t -> report
-(** [replay] over a packed ring capture, reading signal entries through
-    the flat {!Trace.Packed} accessors so no per-event records are
-    materialized.  Produces the same report as
-    [replay (Trace.Packed.to_events p)]. *)
+    [closing] because its [closeack] was lost).  Signal entries are
+    read through the flat {!Trace.Packed} accessors, so no per-event
+    records are materialized. *)
 
 val conformant : report -> bool
 (** No violations anywhere in the trace. *)
@@ -65,8 +66,8 @@ type ends = { left : string * string * int; right : string * string * int }
     path is a single leg; an N-party topology is a list of legs, one per
     participant. *)
 
-val verdict_legs :
-  ?structural:bool -> obligation -> legs:ends list -> Trace.event list -> verdict
+val verdict :
+  ?structural:bool -> obligation -> legs:ends list -> Trace.Packed.t -> verdict
 (** Evaluate an obligation on a finite trace, quantified over N legs:
     the closed/flowing predicates are the conjunction over every leg's
     end pair (allClosed / allFlowing), so a conference is satisfied only
@@ -80,20 +81,29 @@ val verdict_legs :
     descriptor/selector agreement refinement — the form the model
     checker falls back to under loss budgets. *)
 
-val verdict_packed_legs :
-  ?structural:bool -> obligation -> legs:ends list -> Trace.Packed.t -> verdict
-(** [verdict_legs] over a packed ring capture, reading signal entries
-    through the flat {!Trace.Packed} accessors. *)
+(** {2 The replay core}
 
-val verdict : ?structural:bool -> obligation -> ends:ends -> Trace.event list -> verdict
-(** The historical two-sided form: [verdict ~ends] is
-    [verdict_legs ~legs:[ends]]. *)
+    {!verdict} is [feed] over the whole trace followed by [judge].  A
+    caller that judges part of a longer recording feeds the core
+    itself. *)
 
-val verdict_packed :
-  ?structural:bool -> obligation -> ends:ends -> Trace.Packed.t -> verdict
-(** [verdict] over a packed ring capture; same result as
-    [verdict ?structural obligation ~ends (Trace.Packed.to_events p)]
-    without materializing event records. *)
+type machines
+(** Every tunnel's Fig. 5 machine seen so far. *)
+
+val machines : unit -> machines
+
+val feed : ?chan:string -> ?first:int -> machines -> Trace.Packed.t -> unit
+(** Replay the trace's signal entries — only those on channel [chan]
+    when given.  Entry [i] is numbered [first + i] (default [first] 0)
+    in violation messages, so a window of a longer recording keeps the
+    recording's sequence numbers. *)
+
+val feed_event : machines -> Trace.event -> unit
+(** Replay one decoded signal event; other kinds are ignored. *)
+
+val judge : ?structural:bool -> obligation -> legs:ends list -> machines -> verdict
+(** {!verdict} over what has been fed.  Finalizes the machines: feed
+    nothing more afterwards. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_tunnel_report : Format.formatter -> tunnel_report -> unit

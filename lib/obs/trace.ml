@@ -30,8 +30,6 @@ type kind =
 
 type event = { seq : int; at : float; kind : kind }
 
-type sink = event -> unit
-
 (* ------------------------------------------------------------------ *)
 (* The flat ring buffer
 
@@ -151,36 +149,22 @@ let ring_slot r =
   r.rlen <- r.rlen + 1;
   base
 
-(* The recording mode, sequence counter, clock, and ring are
-   domain-local: one mutable context per domain, reached through
-   [Domain.DLS].  Instrumentation sites all over the stack guard
-   themselves with one [enabled] check — a DLS lookup, a load, and a
-   branch, no allocation — so a disabled trace still costs almost
-   nothing.  Domain-locality is what lets a fleet run many sessions
-   concurrently: each shard records its own sessions into its own
-   context, with its own independent numbering, and can never observe
-   (or interleave with) another shard's events.  Within one domain,
-   sessions record one at a time. *)
-type mode = Off | To_sink of sink | To_ring
-
-type ctx = { mutable mode : mode; mutable seq : int; mutable clock : unit -> float; ring : ring }
+(* The recording flag, clock, and ring are domain-local: one mutable
+   context per domain, reached through [Domain.DLS].  Instrumentation
+   sites all over the stack guard themselves with one [enabled] check —
+   a DLS lookup, a load, and a branch, no allocation — so a disabled
+   trace still costs almost nothing.  Domain-locality is what lets a
+   fleet run many sessions concurrently: each shard records its own
+   sessions into its own context, with its own independent numbering,
+   and can never observe (or interleave with) another shard's events.
+   Within one domain, sessions record one at a time. *)
+type ctx = { mutable active : bool; mutable clock : unit -> float; ring : ring }
 
 let ctx_key =
-  Domain.DLS.new_key (fun () ->
-      { mode = Off; seq = 0; clock = (fun () -> 0.0); ring = fresh_ring () })
+  Domain.DLS.new_key (fun () -> { active = false; clock = (fun () -> 0.0); ring = fresh_ring () })
 
 let ctx () = Domain.DLS.get ctx_key
-
-let enabled () =
-  match (ctx ()).mode with
-  | Off -> false
-  | To_sink _ | To_ring -> true
-
-let set_sink sink =
-  let c = ctx () in
-  (c.mode <- match sink with None -> Off | Some f -> To_sink f);
-  c.seq <- 0
-
+let enabled () = (ctx ()).active
 let set_clock f = (ctx ()).clock <- f
 let reset_clock () = (ctx ()).clock <- (fun () -> 0.0)
 
@@ -229,25 +213,9 @@ let ring_net c ~chan decision =
   ints.(base + 2) <- code_of_decision decision;
   ints.(base + 3) <- (match decision with Passed n -> n | Retransmit a -> a | _ -> 0)
 
-(* The event parameter is deliberately not named [kind]: the record pun
-   would read as a reference to the decoder [Packed.kind] in the
-   callgraph's syntactic resolution and drag the whole decode side into
-   the hot reachable set. *)
-let emit_to_sink c f k =
-  let seq = c.seq in
-  c.seq <- seq + 1;
-  f
-    ({ seq; at = c.clock (); kind = k }
-    [@lint.allow
-      "alloc: sink mode is the streaming slow path (daemon consumers); the E15-measured fleet \
-       path is ring mode, which writes flat ints"])
-
 let emit kind =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_sink f -> emit_to_sink c f kind
-  | To_ring -> (
+  if c.active then
     match kind with
     | Sig_send { chan; tun; box; peer; initiator; signal } ->
       ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
@@ -257,90 +225,46 @@ let emit kind =
     | Meta_recv { chan; box } -> ring_meta c tag_meta_recv ~chan ~box
     | Slot_transition { slot; from_; to_; cause } -> ring_quad c tag_slot slot from_ to_ cause
     | Goal { goal; slot; from_; to_ } -> ring_quad c tag_goal goal slot from_ to_
-    | Net { chan; decision } -> ring_net c ~chan decision)
+    | Net { chan; decision } -> ring_net c ~chan decision
 
-(* The allocation-free emitters: in ring mode the arguments go straight
-   into the flat buffer without ever building the [kind] value.  In
-   sink mode they fall back to the structured record, so a streaming
-   consumer (the daemon) sees identical events.  These seven are the
-   [@@lint.hotpath] roots of ALLOC001 for the tracing layer: everything
-   they reach must stay allocation-free in ring mode (E15). *)
+(* The allocation-free emitters: the arguments go straight into the
+   flat buffer without ever building the [kind] value.  These seven are
+   the [@@lint.hotpath] roots of ALLOC001 for the tracing layer:
+   everything they reach must stay allocation-free (E15). *)
 
 let sig_send ~chan ~tun ~box ~peer ~initiator signal =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
-  | To_sink f ->
-    emit_to_sink c f
-      (Sig_send { chan; tun; box; peer; initiator; signal }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_sig c tag_sig_send ~chan ~tun ~box ~peer ~initiator signal
 [@@lint.hotpath]
 
 let sig_recv ~chan ~tun ~box ~peer ~initiator signal =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_sig c tag_sig_recv ~chan ~tun ~box ~peer ~initiator signal
-  | To_sink f ->
-    emit_to_sink c f
-      (Sig_recv { chan; tun; box; peer; initiator; signal }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_sig c tag_sig_recv ~chan ~tun ~box ~peer ~initiator signal
 [@@lint.hotpath]
 
 let meta_send ~chan ~box =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_meta c tag_meta_send ~chan ~box
-  | To_sink f ->
-    emit_to_sink c f
-      (Meta_send { chan; box }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_meta c tag_meta_send ~chan ~box
 [@@lint.hotpath]
 
 let meta_recv ~chan ~box =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_meta c tag_meta_recv ~chan ~box
-  | To_sink f ->
-    emit_to_sink c f
-      (Meta_recv { chan; box }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_meta c tag_meta_recv ~chan ~box
 [@@lint.hotpath]
 
 let slot_transition ~slot ~from_ ~to_ ~cause =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_quad c tag_slot slot from_ to_ cause
-  | To_sink f ->
-    emit_to_sink c f
-      (Slot_transition { slot; from_; to_; cause }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_quad c tag_slot slot from_ to_ cause
 [@@lint.hotpath]
 
 let goal ~goal ~slot ~from_ ~to_ =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_quad c tag_goal goal slot from_ to_
-  | To_sink f ->
-    emit_to_sink c f
-      (Goal { goal; slot; from_; to_ }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_quad c tag_goal goal slot from_ to_
 [@@lint.hotpath]
 
 let net ~chan decision =
   let c = ctx () in
-  match c.mode with
-  | Off -> ()
-  | To_ring -> ring_net c ~chan decision
-  | To_sink f ->
-    emit_to_sink c f
-      (Net { chan; decision }
-      [@lint.allow "alloc: sink-mode fallback; ring mode is the measured E15 path"])
+  if c.active then ring_net c ~chan decision
 [@@lint.hotpath]
 
 (* ------------------------------------------------------------------ *)
@@ -402,8 +326,6 @@ module Packed = struct
     else Net { chan = str t i 1; decision = decision_of_code (field t i 2) (field t i 3) }
 
   let event t i = { seq = i; at = at t i; kind = kind t i }
-
-  let to_events t = List.init t.p_len (event t)
 
   let iter f t =
     for i = 0 to t.p_len - 1 do
@@ -473,12 +395,13 @@ module Packed = struct
     end
 end
 
-(* Drain the ring into a self-contained snapshot.  Must run on the
-   domain that recorded (ids and signal words are domain-local). *)
-let capture r =
-  let len = r.rlen in
-  let ints = Array.sub r.ints 0 (len * stride) in
-  let ats = Array.sub r.ats 0 len in
+(* Snapshot ring entries [from ..] into a self-contained trace.  Must
+   run on the domain that recorded (ids and signal words are
+   domain-local). *)
+let capture r ~from =
+  let len = r.rlen - from in
+  let ints = Array.sub r.ints (from * stride) (len * stride) in
+  let ats = Array.sub r.ats from len in
   let strs = Array.sub r.strs 0 r.nstrs in
   let sig_idx : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let sigs_rev = ref [] in
@@ -511,44 +434,23 @@ let capture r =
 
 let recording_packed f =
   let c = ctx () in
-  (match c.mode with
-  | Off -> ()
-  | To_sink _ | To_ring -> invalid_arg "Trace.recording_packed: a recording is already active");
+  if c.active then invalid_arg "Trace.recording_packed: a recording is already active";
   c.ring.rlen <- 0;
-  c.seq <- 0;
-  c.mode <- To_ring;
+  c.active <- true;
   Fun.protect
     ~finally:(fun () ->
-      c.mode <- Off;
+      c.active <- false;
       reset_clock ())
     (fun () ->
       let x = f () in
-      (x, capture c.ring))
+      (x, capture c.ring ~from:0))
 
-(* ------------------------------------------------------------------ *)
-(* Collector                                                           *)
-
-type collector = { mutable rev : event list; mutable count : int }
-
-let collector () = { rev = []; count = 0 }
-
-let sink_of c e =
-  c.rev <- e :: c.rev;
-  c.count <- c.count + 1
-
-let events c = List.rev c.rev
-let count c = c.count
-
-let recording f =
-  let c = collector () in
-  set_sink (Some (sink_of c));
-  Fun.protect
-    ~finally:(fun () ->
-      set_sink None;
-      reset_clock ())
-    (fun () ->
-      let x = f () in
-      (x, events c))
+let live from =
+  let c = ctx () in
+  if not c.active then (0, Packed.empty)
+  else
+    let n = c.ring.rlen in
+    (n, if from >= n then Packed.empty else capture c.ring ~from:(Stdlib.max 0 from))
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                           *)
@@ -653,13 +555,13 @@ let kind_json = function
 let event_to_json (e : event) =
   Printf.sprintf "{\"seq\":%d,\"t\":%.3f,%s}" e.seq e.at (kind_json e.kind)
 
-let write_jsonl path events =
+let write_jsonl path p =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () ->
-      List.iter
+      Packed.iter
         (fun e ->
           output_string oc (event_to_json e);
           output_char oc '\n')
-        events)
+        p)

@@ -1,27 +1,31 @@
 (** Structured signal tracing.
 
     Every layer of the stack carries instrumentation points that emit
-    timestamped structured events into the {e domain-local} sink: signal
-    sends ({!Mediactl_signaling.Channel}), signal deliveries
+    timestamped structured events into the {e domain-local} recording:
+    signal sends ({!Mediactl_signaling.Channel}), signal deliveries
     ({!Mediactl_runtime.Netsys}), slot-state transitions
     ({!Mediactl_protocol.Slot}), goal-state changes (the
     [Mediactl_core] goal objects), and drop / duplicate / retransmit
     decisions ([Mediactl_net]).
+
+    There is one capture form.  {!recording_packed} directs every
+    emission into the domain's flat ring buffer and drains it into a
+    self-contained {!Packed.t}; the monitor, the metrics and the JSONL
+    writer all read that.  Structured {!event} records exist only at
+    the rendering edge, decoded one at a time by {!Packed.iter}.
 
     The design is near-zero-cost when disabled: each site guards itself
     with {!enabled} — a domain-local lookup, a load, and a branch, no
     allocation — so the model checker and the benchmarks pay essentially
     nothing for the instrumentation.
 
-    The sink, its sequence counter, and the clock live in domain-local
+    The recording flag, the clock, and the ring live in domain-local
     storage ([Domain.DLS]), one independent context per domain.  A fleet
     shard that records a session therefore cannot race with — or leak
     events into — sessions recording on other domains: each session's
-    trace is numbered [0..n-1] by its own counter.  Ownership rule: a
-    sink is installed, fed, and removed by the domain that runs the
-    session; handing a sink to another domain is a programming error the
-    type system cannot catch, so don't.  Within one domain, sessions
-    record one at a time ({!recording} is not reentrant). *)
+    trace is numbered [0..n-1] by its own ring.  Within one domain,
+    sessions record one at a time ({!recording_packed} is not
+    reentrant). *)
 
 type sig_event = {
   chan : string;  (** channel label, the [Netsys] channel name *)
@@ -59,29 +63,21 @@ type event = { seq : int; at : float; kind : kind }
     at equal timestamps, independent per domain); [at] is the current
     clock, in simulated milliseconds. *)
 
-type sink = event -> unit
-
-(** {2 The domain-local sink} *)
+(** {2 The domain-local recording} *)
 
 val enabled : unit -> bool
 (** Instrumentation sites call this before building an event. *)
 
-val set_sink : sink option -> unit
-(** Installing a sink resets the sequence counter; [None] disables
-    tracing again. *)
-
 val emit : kind -> unit
-(** Timestamp, number, and dispatch an event.  No-op when disabled. *)
+(** Timestamp and record an event.  No-op when disabled. *)
 
 (** {2 Allocation-free emitters}
 
     One per event shape.  Inside {!recording_packed} these write fixed
     width int entries straight into the domain's flat ring buffer —
     strings interned, the signal as a {!Mediactl_types.Signal_pack}
-    word — allocating nothing; under a plain sink they build the same
-    structured {!event} that {!emit} would.  Hot instrumentation sites
-    use these; {!emit} remains for call sites that already hold a
-    [kind] value. *)
+    word — allocating nothing.  Hot instrumentation sites use these;
+    {!emit} remains for call sites that already hold a [kind] value. *)
 
 val sig_send :
   chan:string -> tun:int -> box:string -> peer:string -> initiator:bool ->
@@ -104,32 +100,14 @@ val set_clock : (unit -> float) -> unit
 
 val reset_clock : unit -> unit
 
-(** {2 Collecting} *)
-
-type collector
-
-val collector : unit -> collector
-val sink_of : collector -> sink
-val events : collector -> event list
-(** In emission order. *)
-
-val count : collector -> int
-
-val recording : (unit -> 'a) -> 'a * event list
-(** [recording f] runs [f] with a fresh collector installed as the sink
-    and returns its result with the captured events; the previous sink
-    and clock are cleared afterwards, also on exceptions. *)
-
 (** {2 Packed traces}
 
-    The zero-allocation recording path.  {!recording_packed} directs
-    every emission into the domain's flat ring buffer (reused, with its
-    capacity, across recordings on the same domain) and drains it at
-    the end into a {!Packed.t}: a self-contained snapshot whose intern
-    ids have been resolved, safe to ship across domains and to decode
-    anywhere.  Event [i] of a packed trace is identical — field for
-    field, including [seq = i] — to the [i]-th event the same run would
-    have handed a sink. *)
+    {!recording_packed} directs every emission into the domain's flat
+    ring buffer (reused, with its capacity, across recordings on the
+    same domain) and drains it at the end into a {!Packed.t}: a
+    self-contained snapshot whose intern ids have been resolved, safe
+    to ship across domains and to decode anywhere.  Event [i] of a
+    packed trace reads [seq = i]. *)
 
 module Packed : sig
   type t
@@ -164,11 +142,8 @@ module Packed : sig
 
   val event : t -> int -> event
 
-  val to_events : t -> event list
-  (** The whole trace as the equivalent event list — byte-compatible
-      with what a sink recording of the same run would have collected. *)
-
   val iter : (event -> unit) -> t -> unit
+  (** Decode the entries in order, one record at a time. *)
 
   val empty : t
   (** The zero-length trace ([append empty t = t]); a cheap slot filler
@@ -184,10 +159,20 @@ module Packed : sig
 end
 
 val recording_packed : (unit -> 'a) -> 'a * Packed.t
-(** Ring-buffer variant of {!recording}: emissions write int entries
-    into the domain-local ring; the trace is drained at the end into a
-    portable {!Packed.t}.  Not reentrant, and must not be nested with
-    {!recording}. *)
+(** [recording_packed f] runs [f] with the domain's ring recording —
+    emissions write int entries into the ring — and returns its result
+    with the trace, drained into a portable {!Packed.t}.  Recording and
+    the clock are cleared afterwards, also on exceptions.  Not
+    reentrant: raises [Invalid_argument] inside another recording. *)
+
+val live : int -> int * Packed.t
+(** [live from], inside a recording on this domain, reads the ring as
+    it stands: the number of entries recorded so far, and a snapshot of
+    those from index [from] on (empty when [from] is at or past the
+    end), so entry [i] of the snapshot is the recording's entry
+    [from + i].  A long-lived recording (the daemon) judges a window of
+    its history with this without draining it.  Outside a recording it
+    is [(0, Packed.empty)]. *)
 
 (** {2 Rendering} *)
 
@@ -197,5 +182,6 @@ val pp_event : Format.formatter -> event -> unit
 val event_to_json : event -> string
 (** One JSON object, no trailing newline. *)
 
-val write_jsonl : string -> event list -> unit
-(** [write_jsonl path events] writes one JSON object per line. *)
+val write_jsonl : string -> Packed.t -> unit
+(** [write_jsonl path p] writes one JSON object per event, one per
+    line. *)

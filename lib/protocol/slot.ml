@@ -127,8 +127,8 @@ let receive t signal =
   | Signal.Select _, (Slot_state.Closed | Slot_state.Opening | Slot_state.Opened) ->
     unexpected t signal
 
-(* Trace instrumentation: a no-op load-and-branch unless a sink is
-   installed — [receive] sits in the model checker's innermost loop. *)
+(* Trace instrumentation: a no-op load-and-branch unless a recording
+   is active — [receive] sits in the model checker's innermost loop. *)
 let observe ~cause before after =
   if
     Mediactl_obs.Trace.enabled () && not (Slot_state.equal after.state before.state)

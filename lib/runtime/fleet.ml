@@ -29,6 +29,57 @@ let shard_block ~jobs ~sessions =
 
 let shard_of ~jobs ~sessions i = i / shard_block ~jobs ~sessions mod jobs
 
+(* Run [shard k] for every shard [k] — on the calling domain when
+   [jobs] is 1, else one domain each — returning the shard results in
+   shard order and the wall seconds the run took. *)
+let run_shards ~jobs shard =
+  let t0 = Unix.gettimeofday () in
+  let results =
+    if jobs = 1 then [ shard 0 () ]
+    else
+      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
+      Array.to_list (Array.map Domain.join domains)
+  in
+  (results, Unix.gettimeofday () -. t0)
+
+(* What both drivers count over finished sessions: engine events, the
+   monitor's conformance and obligation verdicts, and the metrics
+   registries. *)
+type tally = {
+  mutable tl_sessions : int;
+  mutable tl_events : int;
+  mutable tl_conformant : int;
+  mutable tl_violations : int;
+  mutable tl_sat : int;
+  mutable tl_vio : int;
+  mutable tl_und : int;
+  tl_metrics : Metrics.acc;
+}
+
+let tally () =
+  {
+    tl_sessions = 0;
+    tl_events = 0;
+    tl_conformant = 0;
+    tl_violations = 0;
+    tl_sat = 0;
+    tl_vio = 0;
+    tl_und = 0;
+    tl_metrics = Metrics.acc ();
+  }
+
+let note tl (o : Session.outcome) =
+  tl.tl_sessions <- tl.tl_sessions + 1;
+  tl.tl_events <- tl.tl_events + o.Session.events;
+  if o.Session.conformant then tl.tl_conformant <- tl.tl_conformant + 1;
+  tl.tl_violations <- tl.tl_violations + o.Session.violations;
+  (match o.Session.verdict with
+  | Some Monitor.Satisfied -> tl.tl_sat <- tl.tl_sat + 1
+  | Some (Monitor.Violated _) -> tl.tl_vio <- tl.tl_vio + 1
+  | Some (Monitor.Undetermined _) -> tl.tl_und <- tl.tl_und + 1
+  | None -> ());
+  Metrics.add tl.tl_metrics o.Session.metrics
+
 (* Sessions are assigned to shards block-cyclically by id.  Because
    every session's stream is split from the root generator up front —
    in id order, before any shard runs — and sessions share no mutable
@@ -50,43 +101,28 @@ let run ?(jobs = 1) ?until ?max_events ~sessions ~seed mk =
     done;
     !acc
   in
-  let t0 = Unix.gettimeofday () in
-  let per_shard =
-    if jobs = 1 then [ shard 0 () ]
-    else
-      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let per_shard, wall_s = run_shards ~jobs shard in
   let outcomes =
     List.concat per_shard
     |> List.sort (fun (a : Session.outcome) b -> compare a.Session.id b.Session.id)
   in
-  let sum f = List.fold_left (fun acc o -> acc + f o) 0 outcomes in
-  let engine_events = sum (fun (o : Session.outcome) -> o.Session.events) in
+  let tl = tally () in
+  List.iter (note tl) outcomes;
   let per_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0 in
-  let verdict_count v =
-    sum (fun (o : Session.outcome) ->
-      match o.Session.verdict, v with
-      | Some Monitor.Satisfied, `S | Some (Monitor.Violated _), `V
-      | Some (Monitor.Undetermined _), `U ->
-        1
-      | _ -> 0)
-  in
   let summary =
     {
       sessions;
       jobs;
       wall_s;
-      engine_events;
+      engine_events = tl.tl_events;
       sessions_per_s = per_s sessions;
-      events_per_s = per_s engine_events;
-      metrics = Metrics.merge_all (List.map (fun (o : Session.outcome) -> o.Session.metrics) outcomes);
-      conformant = sum (fun (o : Session.outcome) -> if o.Session.conformant then 1 else 0);
-      violations = sum (fun (o : Session.outcome) -> o.Session.violations);
-      satisfied = verdict_count `S;
-      violated = verdict_count `V;
-      undetermined = verdict_count `U;
+      events_per_s = per_s tl.tl_events;
+      metrics = Metrics.total tl.tl_metrics;
+      conformant = tl.tl_conformant;
+      violations = tl.tl_violations;
+      satisfied = tl.tl_sat;
+      violated = tl.tl_vio;
+      undetermined = tl.tl_und;
     }
   in
   (outcomes, summary)
@@ -142,112 +178,6 @@ let clear_cell cl =
   cl.cl_session <- None;
   cl.cl_setup <- Trace.Packed.empty;
   cl.cl_setup_events <- 0
-
-(* Retired sessions fold into flat counters — a running [Metrics.merge]
-   would recopy every pooled latency sample per retirement, quadratic
-   in the session count (the same reason [Metrics.merge_all] is a
-   single pass). *)
-type macc = {
-  mutable ma_events : int;
-  mutable ma_duration : float;
-  ma_sends : (string, int) Hashtbl.t;
-  mutable ma_recvs : int;
-  mutable ma_slots : int;
-  mutable ma_goals : int;
-  mutable ma_races : int;
-  mutable ma_drops : int;
-  mutable ma_dups : int;
-  mutable ma_retrans : int;
-  mutable ma_exhausted : int;
-  mutable ma_suppressed : int;
-  mutable ma_acks : int;
-  ma_rt : Stats.t;
-  ma_ttf : Stats.t;
-  mutable ma_viol : int;
-}
-
-let macc () =
-  {
-    ma_events = 0;
-    ma_duration = 0.0;
-    ma_sends = Hashtbl.create 16;
-    ma_recvs = 0;
-    ma_slots = 0;
-    ma_goals = 0;
-    ma_races = 0;
-    ma_drops = 0;
-    ma_dups = 0;
-    ma_retrans = 0;
-    ma_exhausted = 0;
-    ma_suppressed = 0;
-    ma_acks = 0;
-    ma_rt = Stats.create ();
-    ma_ttf = Stats.create ();
-    ma_viol = 0;
-  }
-
-let macc_bump tbl key n =
-  Hashtbl.replace tbl key (n + Option.value ~default:0 (Hashtbl.find_opt tbl key))
-
-let macc_add a (m : Metrics.t) =
-  a.ma_events <- a.ma_events + m.Metrics.events;
-  a.ma_duration <- a.ma_duration +. m.Metrics.duration;
-  List.iter (fun (k, v) -> macc_bump a.ma_sends k v) m.Metrics.sends_by_signal;
-  a.ma_recvs <- a.ma_recvs + m.Metrics.recvs;
-  a.ma_slots <- a.ma_slots + m.Metrics.slot_transitions;
-  a.ma_goals <- a.ma_goals + m.Metrics.goal_changes;
-  a.ma_races <- a.ma_races + m.Metrics.open_races;
-  a.ma_drops <- a.ma_drops + m.Metrics.drops;
-  a.ma_dups <- a.ma_dups + m.Metrics.dups;
-  a.ma_retrans <- a.ma_retrans + m.Metrics.retransmissions;
-  a.ma_exhausted <- a.ma_exhausted + m.Metrics.retries_exhausted;
-  a.ma_suppressed <- a.ma_suppressed + m.Metrics.dup_suppressed;
-  a.ma_acks <- a.ma_acks + m.Metrics.acks;
-  List.iter (Stats.add a.ma_rt) (Stats.samples m.Metrics.round_trip);
-  List.iter (Stats.add a.ma_ttf) (Stats.samples m.Metrics.time_to_flowing);
-  a.ma_viol <- a.ma_viol + m.Metrics.violations
-
-let macc_total accs =
-  let t = macc () in
-  List.iter
-    (fun a ->
-      t.ma_events <- t.ma_events + a.ma_events;
-      t.ma_duration <- t.ma_duration +. a.ma_duration;
-      Hashtbl.iter (fun k v -> macc_bump t.ma_sends k v) a.ma_sends;
-      t.ma_recvs <- t.ma_recvs + a.ma_recvs;
-      t.ma_slots <- t.ma_slots + a.ma_slots;
-      t.ma_goals <- t.ma_goals + a.ma_goals;
-      t.ma_races <- t.ma_races + a.ma_races;
-      t.ma_drops <- t.ma_drops + a.ma_drops;
-      t.ma_dups <- t.ma_dups + a.ma_dups;
-      t.ma_retrans <- t.ma_retrans + a.ma_retrans;
-      t.ma_exhausted <- t.ma_exhausted + a.ma_exhausted;
-      t.ma_suppressed <- t.ma_suppressed + a.ma_suppressed;
-      t.ma_acks <- t.ma_acks + a.ma_acks;
-      List.iter (Stats.add t.ma_rt) (Stats.samples a.ma_rt);
-      List.iter (Stats.add t.ma_ttf) (Stats.samples a.ma_ttf);
-      t.ma_viol <- t.ma_viol + a.ma_viol)
-    accs;
-  {
-    Metrics.events = t.ma_events;
-    duration = t.ma_duration;
-    sends_by_signal =
-      Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.ma_sends []
-      |> List.sort (fun (_, a) (_, b) -> compare b a);
-    recvs = t.ma_recvs;
-    slot_transitions = t.ma_slots;
-    goal_changes = t.ma_goals;
-    open_races = t.ma_races;
-    drops = t.ma_drops;
-    dups = t.ma_dups;
-    retransmissions = t.ma_retrans;
-    retries_exhausted = t.ma_exhausted;
-    dup_suppressed = t.ma_suppressed;
-    acks = t.ma_acks;
-    round_trip = t.ma_rt;
-    time_to_flowing = t.ma_ttf;
-    violations = t.ma_viol;
-  }
 
 (* One MD5 per retired session over the {e resolved} outcome — decoded
    event JSON, never raw intern ids, which are domain-history artifacts
@@ -327,15 +257,8 @@ type churn_summary = {
 
 (* What one shard hands back to the combiner. *)
 type shard_report = {
-  sr_macc : macc;
+  sr_tally : tally;
   sr_started : int;
-  sr_retired : int;
-  sr_events : int;
-  sr_conformant : int;
-  sr_violations : int;
-  sr_sat : int;
-  sr_vio : int;
-  sr_und : int;
   sr_digest : Bytes.t;
   sr_peak : int;
   sr_slots : int;
@@ -448,33 +371,17 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       end
     done;
     let pool = Spool.create ~make:fresh_cell ~clear:clear_cell () in
-    let acc = macc () in
+    let tl = tally () in
     let buf = Buffer.create 4096 in
     let digest = Bytes.make 16 '\000' in
     let started = ref 0 in
-    let retired = ref 0 in
-    let events = ref 0 in
-    let conformant = ref 0 in
-    let violations = ref 0 in
-    let sat = ref 0 in
-    let vio = ref 0 in
-    let und = ref 0 in
     let retire_slot slot =
       let cl = Spool.get pool slot in
       (match cl.cl_session with
       | None -> ()
       | Some s ->
         let o = Session.retire ~grace ~setup:cl.cl_setup ~setup_events:cl.cl_setup_events s in
-        incr retired;
-        events := !events + o.Session.events;
-        if o.Session.conformant then incr conformant;
-        violations := !violations + o.Session.violations;
-        (match o.Session.verdict with
-        | Some Monitor.Satisfied -> incr sat
-        | Some (Monitor.Violated _) -> incr vio
-        | Some (Monitor.Undetermined _) -> incr und
-        | None -> ());
-        macc_add acc o.Session.metrics;
+        note tl o;
         digest_xor digest (digest_outcome buf o));
       Spool.release pool slot
     in
@@ -514,15 +421,8 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     Spool.iter_live (fun slot _ -> retire_slot slot) pool;
     let g1 = Gc.quick_stat () in
     {
-      sr_macc = acc;
+      sr_tally = tl;
       sr_started = !started;
-      sr_retired = !retired;
-      sr_events = !events;
-      sr_conformant = !conformant;
-      sr_violations = !violations;
-      sr_sat = !sat;
-      sr_vio = !vio;
-      sr_und = !und;
       sr_digest = digest;
       sr_peak = Spool.peak pool;
       sr_slots = Spool.capacity pool;
@@ -535,23 +435,17 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
       sr_pause_batches = acct.pa_pause_batches;
     }
   in
-  let t0 = Unix.gettimeofday () in
-  let reports =
-    if jobs = 1 then [ shard 0 () ]
-    else
-      let domains = Array.init jobs (fun k -> Domain.spawn (shard k)) in
-      Array.to_list (Array.map Domain.join domains)
-  in
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let reports, wall_s = run_shards ~jobs shard in
   let g_end = Gc.quick_stat () in
   let sum f = List.fold_left (fun a r -> a + f r) 0 reports in
   let sumf f = List.fold_left (fun a r -> a +. f r) 0.0 reports in
   let maxf f = List.fold_left (fun a r -> Float.max a (f r)) 0.0 reports in
   let digest = Bytes.make 16 '\000' in
   List.iter (fun r -> digest_xor digest (Bytes.to_string r.sr_digest)) reports;
+  let tallied f = sum (fun r -> f r.sr_tally) in
   let started = sum (fun r -> r.sr_started) in
-  let retired = sum (fun r -> r.sr_retired) in
-  let engine_events = sum (fun r -> r.sr_events) in
+  let retired = tallied (fun tl -> tl.tl_sessions) in
+  let engine_events = tallied (fun tl -> tl.tl_events) in
   let per_s n = if wall_s > 0.0 then float_of_int n /. wall_s else 0.0 in
   {
     c_target = target_population;
@@ -567,12 +461,13 @@ let churn ?(jobs = 1) ?arrival_rate ?(session_until = 60_000.0) ?(grace = 30_000
     c_events_per_s = per_s engine_events;
     c_sessions_per_s = per_s retired;
     c_digest = Digest.to_hex (Bytes.to_string digest);
-    c_metrics = macc_total (List.map (fun r -> r.sr_macc) reports);
-    c_conformant = sum (fun r -> r.sr_conformant);
-    c_violations = sum (fun r -> r.sr_violations);
-    c_satisfied = sum (fun r -> r.sr_sat);
-    c_violated = sum (fun r -> r.sr_vio);
-    c_undetermined = sum (fun r -> r.sr_und);
+    c_metrics =
+      Metrics.merge_all (List.map (fun r -> Metrics.total r.sr_tally.tl_metrics) reports);
+    c_conformant = tallied (fun tl -> tl.tl_conformant);
+    c_violations = tallied (fun tl -> tl.tl_violations);
+    c_satisfied = tallied (fun tl -> tl.tl_sat);
+    c_violated = tallied (fun tl -> tl.tl_vio);
+    c_undetermined = tallied (fun tl -> tl.tl_und);
     c_gc =
       {
         minor_words = sumf (fun r -> r.sr_minor);

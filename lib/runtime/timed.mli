@@ -57,7 +57,7 @@ val c : t -> float
 val observe : t -> unit
 (** Point the {!Mediactl_obs.Trace} clock at this simulation's virtual
     time, so trace events are stamped in simulated milliseconds.  Call
-    it once before installing a sink; [Trace.recording] resets the
+    it once before recording; [Trace.recording_packed] resets the
     clock when it finishes. *)
 
 val apply : t -> (Netsys.t -> Netsys.t * Netsys.send list) -> unit

@@ -271,46 +271,35 @@ let test_session_on_wallclock () =
 
 (* One process, one loop: the daemon serves a real unix socket, and the
    test's scripted control client rides the same Wallclock loop —
-   [Daemon.run] drives both sides, so the whole lifecycle (create,
-   wait-flowing, hold, resume, teardown, wait-closed, status, quit)
-   crosses genuine socket I/O and ends with the monitor's verdict. *)
-let test_live_daemon_lifecycle () =
+   [Daemon.run] drives both sides.  Each request is sent once the
+   previous one's final line arrived; the result pairs every request
+   with the lines it was answered with (final line last). *)
+let run_script ?trace_path script =
   let path = Filename.temp_file "mediactl_test" ".sock" in
   Unix.unlink path;
   let listener = Transport.listen (Transport.Unix_sock path) in
-  let d = Daemon.create ~n:2.0 ~c:1.0 ~listener () in
+  let d = Daemon.create ~n:2.0 ~c:1.0 ?trace_path ~listener () in
   let loop = Daemon.loop d in
   let fd = Transport.connect (Transport.Unix_sock path) in
-  let script =
-    ref
-      [
-        Control.Create { id = "t1"; left = Semantics.Open_end; right = Semantics.Open_end };
-        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
-        Control.Hold "t1";
-        Control.Resume "t1";
-        Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
-        Control.Teardown "t1";
-        Control.Wait { id = "t1"; what = `Closed; timeout_ms = 5000.0 };
-        Control.Status (Some "t1");
-        Control.Quit;
-      ]
-  in
-  let calls = ref [] and failures = ref [] in
+  let pending = ref script and answered = ref [] and current = ref [] in
   let send_next () =
-    match !script with
+    match !pending with
     | req :: rest ->
-      script := rest;
+      pending := rest;
       Transport.send_all fd (Control.render req ^ "\n")
     | [] -> ()
   in
-  let buf = ref "" in
   let on_line line =
+    current := line :: !current;
     if Control.final_line line then begin
-      if not (Control.is_ok line) then failures := line :: !failures;
+      (match List.nth_opt script (List.length !answered) with
+      | Some req -> answered := (req, List.rev !current) :: !answered
+      | None -> ());
+      current := [];
       send_next ()
     end
-    else calls := line :: !calls
   in
+  let buf = ref "" in
   let on_readable () =
     match Transport.recv fd with
     | `Retry -> ()
@@ -332,15 +321,119 @@ let test_live_daemon_lifecycle () =
   send_next ();
   Daemon.run d;
   Transport.close_quiet fd;
-  check tbool "every request answered OK" true (!failures = []);
-  match !calls with
-  | status :: _ ->
-    let n = String.length status in
-    check tbool
-      (Printf.sprintf "final status is satisfied: %s" status)
-      true
-      (n >= 9 && String.equal (String.sub status (n - 9) 9) "satisfied")
-  | [] -> Alcotest.fail "no CALL status line seen"
+  List.rev !answered
+
+let failures answered =
+  List.filter_map
+    (fun (_, lines) ->
+      match List.rev lines with
+      | final :: _ when Control.is_ok final -> None
+      | final :: _ -> Some final
+      | [] -> Some "(no answer)")
+    answered
+
+(* The non-final lines a STATUS request was answered with. *)
+let status_lines answered which =
+  match List.find_opt (fun (req, _) -> req = Control.Status which) answered with
+  | Some (_, lines) -> List.filter (fun l -> not (Control.final_line l)) lines
+  | None -> []
+
+let ends_with suffix s =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.equal (String.sub s (n - k) k) suffix
+
+let contains needle s =
+  let n = String.length s and k = String.length needle in
+  let rec go i = i + k <= n && (String.equal (String.sub s i k) needle || go (i + 1)) in
+  go 0
+
+(* A call's whole life: create, wait flowing, teardown, wait closed. *)
+let call_cycle id =
+  [
+    Control.Create { id; left = Semantics.Open_end; right = Semantics.Open_end };
+    Control.Wait { id; what = `Flowing; timeout_ms = 5000.0 };
+    Control.Teardown id;
+    Control.Wait { id; what = `Closed; timeout_ms = 5000.0 };
+  ]
+
+let read_lines path =
+  let ic = open_in path in
+  let rec go acc =
+    match input_line ic with l -> go (l :: acc) | exception End_of_file -> List.rev acc
+  in
+  let lines = go [] in
+  close_in ic;
+  lines
+
+(* The whole lifecycle (create, wait-flowing, hold, resume, teardown,
+   wait-closed, status, then a second call, quit) crosses genuine socket
+   I/O and ends with the monitor's verdict; the --trace artifact written
+   at shutdown is the daemon's one recording: numbered without gaps and
+   holding both calls' signals. *)
+let test_live_daemon_lifecycle () =
+  let trace_path = Filename.temp_file "mediactl_test" ".jsonl" in
+  let answered =
+    run_script ~trace_path
+      ([
+         Control.Create { id = "t1"; left = Semantics.Open_end; right = Semantics.Open_end };
+         Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
+         Control.Hold "t1";
+         Control.Resume "t1";
+         Control.Wait { id = "t1"; what = `Flowing; timeout_ms = 5000.0 };
+         Control.Teardown "t1";
+         Control.Wait { id = "t1"; what = `Closed; timeout_ms = 5000.0 };
+         Control.Status (Some "t1");
+       ]
+      @ call_cycle "t2" @ [ Control.Quit ])
+  in
+  check tbool "every request answered OK" true (failures answered = []);
+  (match status_lines answered (Some "t1") with
+  | [ status ] ->
+    check tbool (Printf.sprintf "final status is satisfied: %s" status) true
+      (ends_with "satisfied" status)
+  | _ -> Alcotest.fail "expected one CALL status line");
+  let lines = read_lines trace_path in
+  Sys.remove trace_path;
+  check tbool "trace is nonempty" true (lines <> []);
+  check tbool "seq runs 0..n-1 without gaps" true
+    (List.for_all2
+       (fun want line -> Scanf.sscanf line "{\"seq\":%d," (fun seq -> seq = want))
+       (List.init (List.length lines) Fun.id)
+       lines);
+  List.iter
+    (fun (kind, chan) ->
+      check tbool
+        (Printf.sprintf "trace holds %s entries of %s" kind chan)
+        true
+        (List.exists
+           (contains (Printf.sprintf "\"kind\":\"%s\",\"chan\":\"%s\"" kind chan))
+           lines))
+    [ ("sig_send", "t1"); ("sig_recv", "t1"); ("sig_send", "t2"); ("sig_recv", "t2") ]
+
+(* STATUS with no call id answers one line per call, each judged once
+   on its own window; STATUS t2 judges t2 alone, the same verdict the
+   listing gives it. *)
+let test_live_status_every_call () =
+  let answered =
+    run_script
+      (call_cycle "t1" @ call_cycle "t2"
+      @ [ Control.Status None; Control.Status (Some "t2"); Control.Quit ])
+  in
+  check tbool "every request answered OK" true (failures answered = []);
+  let all = status_lines answered None in
+  check tint "two CALL lines" 2 (List.length all);
+  List.iteri
+    (fun i line ->
+      let id = Printf.sprintf "t%d" (i + 1) in
+      check tbool
+        (Printf.sprintf "line %d is %s, satisfied: %s" i id line)
+        true
+        (String.starts_with ~prefix:("CALL " ^ id ^ " ") line && ends_with "satisfied" line))
+    all;
+  match status_lines answered (Some "t2") with
+  | [ line ] ->
+    check tstr "STATUS t2 is t2's line of the listing" (List.nth all 1) line
+  | _ -> Alcotest.fail "expected one CALL line for t2"
 
 (* ------------------------------------------------------------------ *)
 
@@ -370,6 +463,9 @@ let () =
           Alcotest.test_case "session boots on the wall clock" `Quick test_session_on_wallclock;
         ] );
       ( "live",
-        [ Alcotest.test_case "unix-socket lifecycle is satisfied" `Quick test_live_daemon_lifecycle ]
+        [
+          Alcotest.test_case "unix-socket lifecycle is satisfied" `Quick test_live_daemon_lifecycle;
+          Alcotest.test_case "status lists every call once" `Quick test_live_status_every_call;
+        ]
       );
     ]

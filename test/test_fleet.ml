@@ -12,6 +12,12 @@ let check = Alcotest.check
 let tbool = Alcotest.bool
 let tint = Alcotest.int
 
+(* A packed trace as its JSONL lines, in order. *)
+let trace_json p =
+  let json = ref [] in
+  Obs.Trace.Packed.iter (fun e -> json := Obs.Trace.event_to_json e :: !json) p;
+  List.rev !json
+
 (* --- Rng.split -------------------------------------------------------- *)
 
 (* A child stream is fixed at the moment of the split: consuming the
@@ -70,13 +76,15 @@ let test_trace_domains_isolated () =
     while Atomic.get started < 2 do
       Domain.cpu_relax ()
     done;
-    let (), events =
-      Obs.Trace.recording (fun () ->
+    let (), p =
+      Obs.Trace.recording_packed (fun () ->
         for i = 0 to n - 1 do
           Obs.Trace.emit (Obs.Trace.Meta_send { chan = tag; box = string_of_int i })
         done)
     in
-    events
+    let events = ref [] in
+    Obs.Trace.Packed.iter (fun e -> events := e :: !events) p;
+    List.rev !events
   in
   let da = Domain.spawn (record "left") in
   let db = Domain.spawn (record "right") in
@@ -121,7 +129,7 @@ let test_metrics_merge () =
       round_trip = stats [ 3.0 ];
     }
   in
-  let m = Obs.Metrics.merge a b in
+  let m = Obs.Metrics.merge_all [ a; b ] in
   check tint "events add" 7 m.Obs.Metrics.events;
   check tbool "duration adds" true (m.Obs.Metrics.duration = 17.0);
   check tint "drops add" 1 m.Obs.Metrics.drops;
@@ -157,7 +165,7 @@ let fingerprint (o : Session.outcome) =
     o.Session.end_time,
     o.Session.conformant,
     o.Session.violations,
-    List.map Obs.Trace.event_to_json (Obs.Trace.Packed.to_events o.Session.trace),
+    trace_json o.Session.trace,
     Obs.Metrics.to_json o.Session.metrics,
     match o.Session.verdict with
     | None -> "none"
@@ -286,8 +294,7 @@ let test_packed_append () =
       burst_b ())
   in
   check tbool "append reads back as one continuous recording" true
-    (List.map T.event_to_json (T.Packed.to_events joined)
-    = List.map T.event_to_json (T.Packed.to_events whole));
+    (trace_json joined = trace_json whole);
   (* "ctrl" appears in both brackets; after the remap the two decoded
      events must share one interned string (physical equality). *)
   check tbool "shared strings dedup into one intern slot" true

@@ -1,5 +1,5 @@
 (* Tests for the observability subsystem (mediactl.obs): the trace
-   sink, per-run metrics, and the Fig. 5 conformance monitor — including
+   ring, per-run metrics, and the Fig. 5 conformance monitor — including
    the round-trip against the model checker's verdicts on the same path
    configurations, and detection of injected protocol violations. *)
 
@@ -23,7 +23,7 @@ let tint = Alcotest.int
 let traced_path ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flowlinks = 0)
     ?(loss = 0.0) ~seed () =
   snd
-    (Trace.recording (fun () ->
+    (Trace.recording_packed (fun () ->
          let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
          Timed.observe sim;
          if loss > 0.0 then begin
@@ -34,31 +34,41 @@ let traced_path ?(left = Semantics.Open_end) ?(right = Semantics.Open_end) ?(flo
          Timed.apply sim (Pathlab.engage_right right ~flowlinks);
          ignore (Timed.run ~until:60_000.0 sim)))
 
-(* --- the sink --------------------------------------------------------- *)
+let events_of p =
+  let acc = ref [] in
+  Trace.Packed.iter (fun e -> acc := e :: !acc) p;
+  List.rev !acc
 
-let test_sink_disabled () =
+(* Re-record decoded events as a fresh capture — how the tests below
+   mutate a trace.  Timestamps restart at 0 and seqs at 0. *)
+let repack events =
+  snd (Trace.recording_packed (fun () -> List.iter (fun e -> Trace.emit e.Trace.kind) events))
+
+(* --- the recording ---------------------------------------------------- *)
+
+let test_disabled_by_default () =
   check tbool "disabled by default" false (Trace.enabled ());
-  (* Emitting without a sink is a no-op, not an error. *)
+  (* Emitting outside a recording is a no-op, not an error. *)
   Trace.emit (Trace.Meta_send { chan = "c"; box = "b" });
-  let (), events = Trace.recording (fun () -> ()) in
-  check tint "fresh recording is empty" 0 (List.length events);
+  let (), p = Trace.recording_packed (fun () -> ()) in
+  check tint "fresh recording is empty" 0 (Trace.Packed.length p);
   check tbool "disabled after recording" false (Trace.enabled ())
 
 let test_recording_captures_and_numbers () =
-  let (), events =
-    Trace.recording (fun () ->
+  let (), p =
+    Trace.recording_packed (fun () ->
         Trace.emit (Trace.Meta_send { chan = "c"; box = "a" });
         Trace.emit (Trace.Meta_recv { chan = "c"; box = "b" }))
   in
-  check tint "two events" 2 (List.length events);
+  check tint "two events" 2 (Trace.Packed.length p);
   check tbool "sequence numbers restart and increase" true
-    (List.map (fun e -> e.Trace.seq) events = [ 0; 1 ])
+    (List.map (fun e -> e.Trace.seq) (events_of p) = [ 0; 1 ])
 
 let test_jsonl_roundtrip_shape () =
-  let events = traced_path ~seed:3 () in
-  check tbool "nonempty" true (events <> []);
+  let p = traced_path ~seed:3 () in
+  check tbool "nonempty" true (Trace.Packed.length p > 0);
   let path = Filename.temp_file "obs" ".jsonl" in
-  Trace.write_jsonl path events;
+  Trace.write_jsonl path p;
   let ic = open_in path in
   let lines = ref 0 in
   (try
@@ -71,65 +81,65 @@ let test_jsonl_roundtrip_shape () =
    with End_of_file -> ());
   close_in ic;
   Sys.remove path;
-  check tint "one line per event" (List.length events) !lines
+  check tint "one line per event" (Trace.Packed.length p) !lines
 
 (* --- the packed ring -------------------------------------------------- *)
 
-(* The same timed run as [traced_path], recorded through the
-   zero-allocation ring instead of the event-list sink. *)
-let traced_path_packed ?(flowlinks = 0) ?(loss = 0.0) ~seed () =
-  snd
-    (Trace.recording_packed (fun () ->
-         let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ~flowlinks ()) in
-         Timed.observe sim;
-         if loss > 0.0 then begin
-           let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
-           ignore (Reliable.attach impair sim)
-         end;
-         Timed.apply sim (Pathlab.engage_left Semantics.Open_end);
-         Timed.apply sim (Pathlab.engage_right Semantics.Open_end ~flowlinks);
-         ignore (Timed.run ~until:60_000.0 sim)))
+let jsonl p = String.concat "\n" (List.map Trace.event_to_json (events_of p))
 
-let read_file path =
-  let ic = open_in_bin path in
-  let s = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  s
-
-(* The flush-at-quiesce contract: a ring capture of a fixed-seed run,
-   decoded to JSONL, is byte-for-byte what the legacy sink would have
-   written for the same run. *)
-let test_ring_matches_sink_jsonl () =
-  let seed = 21 and loss = 0.05 in
-  let sink_events = traced_path ~seed ~loss () in
-  let packed = traced_path_packed ~seed ~loss () in
-  check tint "same event count" (List.length sink_events) (Trace.Packed.length packed);
-  let p1 = Filename.temp_file "obs_sink" ".jsonl" in
-  let p2 = Filename.temp_file "obs_ring" ".jsonl" in
-  Trace.write_jsonl p1 sink_events;
-  Trace.write_jsonl p2 (Trace.Packed.to_events packed);
-  let a = read_file p1 and b = read_file p2 in
-  Sys.remove p1;
-  Sys.remove p2;
-  check tbool "byte-identical JSONL" true (String.equal a b)
-
-(* The packed consumers must agree with their event-list twins on the
-   same capture. *)
+(* The consumers of one capture agree with each other: the metrics'
+   monitor-derived counters match the replay, the live ring read at the
+   end of the recording is the capture it drains to, a tail window
+   renumbered from its start judges like the whole, and feeding the
+   replay core channel by channel reaches the whole trace's verdict. *)
 let test_packed_consumers_agree () =
-  let packed = traced_path_packed ~seed:13 ~loss:0.08 () in
-  let events = Trace.Packed.to_events packed in
-  check tbool "nonempty" true (Trace.Packed.length packed > 0);
-  check tbool "metrics agree" true
-    (String.equal
-       (Metrics.to_json (Metrics.of_packed packed))
-       (Metrics.to_json (Metrics.of_events events)));
-  check tbool "monitor reports agree" true
-    (Monitor.replay_packed packed = Monitor.replay events);
-  check tbool "verdicts agree" true
-    (Monitor.verdict_packed Monitor.Always_eventually_flowing
-       ~ends:(Pathlab.ends ~flowlinks:0) packed
-    = Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks:0)
-        events)
+  let seed = 13 and loss = 0.08 in
+  let (n, whole, tail, k), packed =
+    Trace.recording_packed (fun () ->
+        let sim = Timed.create ~seed ~n:34.0 ~c:20.0 (Pathlab.topology ()) in
+        Timed.observe sim;
+        let impair = Impair.create ~seed ~default:(Policy.lossy loss) () in
+        ignore (Reliable.attach impair sim);
+        Timed.apply sim (Pathlab.engage_left Semantics.Open_end);
+        Timed.apply sim (Pathlab.engage_right Semantics.Open_end ~flowlinks:0);
+        ignore (Timed.run ~until:60_000.0 sim);
+        let n, whole = Trace.live 0 in
+        let k = n / 2 in
+        (n, whole, snd (Trace.live k), k))
+  in
+  check tbool "nonempty" true (n > 0);
+  check tint "live length is the capture's" (Trace.Packed.length packed) n;
+  check tbool "live read at the end is the drained capture" true
+    (String.equal (jsonl whole) (jsonl packed));
+  check tint "tail window length" (n - k) (Trace.Packed.length tail);
+  check tbool "tail window entries keep their place" true
+    (List.for_all2
+       (fun (a : Trace.event) (b : Trace.event) ->
+         a.Trace.kind = b.Trace.kind && a.Trace.at = b.Trace.at)
+       (events_of tail)
+       (List.filteri (fun i _ -> i >= k) (events_of packed)));
+  let m = Metrics.of_packed packed and report = Monitor.replay_packed packed in
+  check tint "metrics races are the monitor's"
+    (List.fold_left (fun acc r -> acc + r.Monitor.races) 0 report.Monitor.tunnels)
+    m.Metrics.open_races;
+  check tint "metrics violations are the monitor's" (List.length report.Monitor.violations)
+    m.Metrics.violations;
+  let legs = [ Pathlab.ends ~flowlinks:0 ] in
+  let whole_verdict = Monitor.verdict Monitor.Always_eventually_flowing ~legs packed in
+  check tbool "verdict satisfied" true (whole_verdict = Monitor.Satisfied);
+  let chans =
+    List.sort_uniq String.compare
+      (List.filter_map
+         (fun e ->
+           match e.Trace.kind with
+           | Trace.Sig_send s | Trace.Sig_recv s -> Some s.Trace.chan
+           | _ -> None)
+         (events_of packed))
+  in
+  let m = Monitor.machines () in
+  List.iter (fun chan -> Monitor.feed ~chan m packed) chans;
+  check tbool "channel-by-channel feed reaches the same verdict" true
+    (Monitor.judge Monitor.Always_eventually_flowing ~legs m = whole_verdict)
 
 (* Entries must survive buffer doubling (the ring starts at 1024
    entries), and a later recording on the same domain reuses the ring
@@ -144,14 +154,14 @@ let test_ring_growth_and_reuse () =
   in
   check tint "all entries captured across growth" n (Trace.Packed.length big);
   let ok = ref true in
-  List.iteri
-    (fun i e ->
-      if e.Trace.seq <> i then ok := false;
+  Trace.Packed.iter
+    (fun e ->
+      let i = e.Trace.seq in
       match e.Trace.kind with
       | Trace.Net { chan; decision = Trace.Ack_sent } ->
         if chan <> (if i mod 2 = 0 then "even" else "odd") then ok := false
       | _ -> ok := false)
-    (Trace.Packed.to_events big);
+    big;
   check tbool "entries survive buffer growth in order" true !ok;
   let (), small =
     Trace.recording_packed (fun () -> Trace.net ~chan:"fresh" Trace.Dropped)
@@ -200,8 +210,7 @@ let test_ring_two_domain_isolation () =
 (* --- metrics ---------------------------------------------------------- *)
 
 let test_metrics_clean_run () =
-  let events = traced_path ~seed:5 () in
-  let m = Metrics.of_events events in
+  let m = Metrics.of_packed (traced_path ~seed:5 ()) in
   let sends = List.fold_left (fun acc (_, n) -> acc + n) 0 m.Metrics.sends_by_signal in
   check tint "every send delivered" sends m.Metrics.recvs;
   check tint "no drops without impairment" 0 m.Metrics.drops;
@@ -228,11 +237,11 @@ let prop_zero_loss_satisfies_monitor =
     ~count:40
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 0 1))
     (fun (seed, flowlinks) ->
-      let events = traced_path ~seed ~flowlinks () in
-      let report = Monitor.replay events in
+      let trace = traced_path ~seed ~flowlinks () in
+      let report = Monitor.replay_packed trace in
       let verdict =
-        Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks)
-          events
+        Monitor.verdict Monitor.Always_eventually_flowing ~legs:[ Pathlab.ends ~flowlinks ]
+          trace
       in
       Monitor.conformant report && verdict = Monitor.Satisfied)
 
@@ -241,8 +250,8 @@ let prop_lossy_still_conformant =
     ~name:"lossy path run with the reliability layer: still protocol-conformant" ~count:40
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 1 25))
     (fun (seed, loss_pct) ->
-      let events = traced_path ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
-      Monitor.conformant (Monitor.replay events))
+      let trace = traced_path ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
+      Monitor.conformant (Monitor.replay_packed trace))
 
 (* --- the monitor: flagging violations -------------------------------- *)
 
@@ -250,7 +259,7 @@ let prop_lossy_still_conformant =
    close (crossing closes, both acknowledged). *)
 let record_close_run () =
   snd
-    (Trace.recording (fun () ->
+    (Trace.recording_packed (fun () ->
          let net, _ = Netsys.run (Pathlab.build ()) in
          let net, _ = Netsys.bind_close net Pathlab.left_slot in
          let net, _ = Netsys.bind_close net (Pathlab.right_slot ~flowlinks:0) in
@@ -258,27 +267,28 @@ let record_close_run () =
 
 (* Drop R's closeack (its send, and its receipt at L), as a faulty
    network without the reliability layer would. *)
-let drop_closeack events =
-  List.filter
-    (fun e ->
-      match e.Trace.kind with
-      | Trace.Sig_send { box = "R"; signal = Signal.Closeack; _ } -> false
-      | Trace.Sig_recv { box = "L"; signal = Signal.Closeack; _ } -> false
-      | _ -> true)
-    events
+let drop_closeack p =
+  repack
+    (List.filter
+       (fun e ->
+         match e.Trace.kind with
+         | Trace.Sig_send { box = "R"; signal = Signal.Closeack; _ } -> false
+         | Trace.Sig_recv { box = "L"; signal = Signal.Closeack; _ } -> false
+         | _ -> true)
+       (events_of p))
 
 let test_clean_close_is_conformant () =
-  let events = record_close_run () in
-  let report = Monitor.replay events in
+  let trace = record_close_run () in
+  let report = Monitor.replay_packed trace in
   check tbool "close run conformant" true (Monitor.conformant report);
   check tbool "close run decides <>[] bothClosed" true
-    (Monitor.verdict Monitor.Eventually_always_closed ~ends:(Pathlab.ends ~flowlinks:0)
-       events
+    (Monitor.verdict Monitor.Eventually_always_closed ~legs:[ Pathlab.ends ~flowlinks:0 ]
+       trace
     = Monitor.Satisfied)
 
 let test_dropped_closeack_is_flagged () =
-  let events = drop_closeack (record_close_run ()) in
-  let report = Monitor.replay events in
+  let trace = drop_closeack (record_close_run ()) in
+  let report = Monitor.replay_packed trace in
   check tbool "mutated trace is non-conformant" false (Monitor.conformant report);
   check tbool "stuck closing is reported" true
     (List.exists
@@ -291,15 +301,15 @@ let test_dropped_closeack_is_flagged () =
          has "closing")
        report.Monitor.violations);
   match
-    Monitor.verdict Monitor.Eventually_always_closed ~ends:(Pathlab.ends ~flowlinks:0) events
+    Monitor.verdict Monitor.Eventually_always_closed ~legs:[ Pathlab.ends ~flowlinks:0 ] trace
   with
   | Monitor.Violated _ -> ()
   | Monitor.Satisfied | Monitor.Undetermined _ ->
     Alcotest.fail "obligation should be violated on the mutated trace"
 
 let test_injected_duplicate_open_is_flagged () =
-  let events = traced_path ~seed:7 () in
-  check tbool "base trace conformant" true (Monitor.conformant (Monitor.replay events));
+  let trace = traced_path ~seed:7 () in
+  check tbool "base trace conformant" true (Monitor.conformant (Monitor.replay_packed trace));
   let stray =
     let d = Descriptor.make ~owner:"X" ~version:1 (Address.v "10.9.9.9" 9) [ Codec.G711 ] in
     {
@@ -317,7 +327,7 @@ let test_injected_duplicate_open_is_flagged () =
           };
     }
   in
-  let report = Monitor.replay (events @ [ stray ]) in
+  let report = Monitor.replay_packed (repack (events_of trace @ [ stray ])) in
   check tbool "injected duplicate open is flagged" false (Monitor.conformant report)
 
 (* --- the monitor vs the model checker -------------------------------- *)
@@ -337,10 +347,10 @@ let test_monitor_agrees_with_checker () =
            (String.concat "" (List.init flowlinks (fun _ -> "fl--"))))
         true
         (Mediactl_mc.Check.passed mc);
-      let events = traced_path ~flowlinks ~seed:11 () in
+      let trace = traced_path ~flowlinks ~seed:11 () in
       let verdict =
-        Monitor.verdict Monitor.Always_eventually_flowing ~ends:(Pathlab.ends ~flowlinks)
-          events
+        Monitor.verdict Monitor.Always_eventually_flowing ~legs:[ Pathlab.ends ~flowlinks ]
+          trace
       in
       check tbool "monitor reproduces the checker's verdict" true
         (verdict = Monitor.Satisfied))
@@ -357,7 +367,7 @@ let traced_conf ?(loss = 0.0) ~seed () =
   let names = List.map fst users in
   ( names,
     snd
-      (Trace.recording (fun () ->
+      (Trace.recording_packed (fun () ->
            let net = fst (Netsys.run (Conference.build ~users)) in
            let sim = Timed.create ~seed ~n:34.0 ~c:20.0 net in
            Timed.observe sim;
@@ -382,11 +392,11 @@ let test_conf_monitor_agrees_with_checker () =
          ~flowlinks:1 ~chaos:0 ~modifies:0 ())
   in
   check tbool "checker passes the 3-party star" true (Mediactl_mc.Check.passed mc);
-  let names, events = traced_conf ~seed:11 () in
-  check tbool "conference run conformant" true (Monitor.conformant (Monitor.replay events));
+  let names, trace = traced_conf ~seed:11 () in
+  check tbool "conference run conformant" true (Monitor.conformant (Monitor.replay_packed trace));
   check tbool "monitor decides []<> allFlowing over all three legs" true
-    (Monitor.verdict_legs Monitor.Always_eventually_flowing
-       ~legs:(Conference.legs ~users:names) events
+    (Monitor.verdict Monitor.Always_eventually_flowing
+       ~legs:(Conference.legs ~users:names) trace
     = Monitor.Satisfied)
 
 let prop_zero_loss_conf_satisfies_monitor =
@@ -395,10 +405,10 @@ let prop_zero_loss_conf_satisfies_monitor =
     ~count:25
     QCheck2.Gen.(int_range 0 9999)
     (fun seed ->
-      let names, events = traced_conf ~seed () in
-      Monitor.conformant (Monitor.replay events)
-      && Monitor.verdict_legs Monitor.Always_eventually_flowing
-           ~legs:(Conference.legs ~users:names) events
+      let names, trace = traced_conf ~seed () in
+      Monitor.conformant (Monitor.replay_packed trace)
+      && Monitor.verdict Monitor.Always_eventually_flowing
+           ~legs:(Conference.legs ~users:names) trace
          = Monitor.Satisfied)
 
 let prop_lossy_conf_still_satisfied =
@@ -407,10 +417,10 @@ let prop_lossy_conf_still_satisfied =
     ~count:25
     QCheck2.Gen.(pair (int_range 0 9999) (int_range 1 25))
     (fun (seed, loss_pct) ->
-      let names, events = traced_conf ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
-      Monitor.conformant (Monitor.replay events)
-      && Monitor.verdict_legs ~structural:true Monitor.Always_eventually_flowing
-           ~legs:(Conference.legs ~users:names) events
+      let names, trace = traced_conf ~seed ~loss:(float_of_int loss_pct /. 100.0) () in
+      Monitor.conformant (Monitor.replay_packed trace)
+      && Monitor.verdict ~structural:true Monitor.Always_eventually_flowing
+           ~legs:(Conference.legs ~users:names) trace
          = Monitor.Satisfied)
 
 (* --------------------------------------------------------------------- *)
@@ -420,10 +430,9 @@ let () =
     [
       ( "trace",
         [
-          Alcotest.test_case "sink disabled" `Quick test_sink_disabled;
+          Alcotest.test_case "disabled by default" `Quick test_disabled_by_default;
           Alcotest.test_case "recording" `Quick test_recording_captures_and_numbers;
           Alcotest.test_case "jsonl shape" `Quick test_jsonl_roundtrip_shape;
-          Alcotest.test_case "ring matches sink jsonl" `Quick test_ring_matches_sink_jsonl;
           Alcotest.test_case "packed consumers agree" `Quick test_packed_consumers_agree;
           Alcotest.test_case "ring growth and reuse" `Quick test_ring_growth_and_reuse;
           Alcotest.test_case "ring two-domain isolation" `Quick
